@@ -7,7 +7,7 @@ GO ?= go
 # observability-layer, morsel-executor, prefetch, serving-layer, and
 # relational-executor race tests called out explicitly, the crash-point
 # matrix for the durable write path, the observability overhead guards,
-# plus one iteration of the planner pipeline and engine-vs-legacy
+# plus one iteration of the planner pipeline and engine-vs-legacy-plan
 # benchmarks as smoke tests.
 check: vet build race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs bench-planner-smoke bench-tpch-smoke
 
@@ -33,15 +33,17 @@ race-obs:
 
 # guard-obs runs the observability overhead guards outside the race
 # detector (alloc counts change under -race): the tracer's zero-alloc
-# guard on the filter seam and the flight recorder's
-# constant-per-query alloc guard (recorder on vs off; the constant must
-# not scale with morsel count).
+# guard on the ops.ApplyFilter seam (an internal test of internal/ops,
+# since it compares against the unexported prepared sweep) and the
+# flight recorder's constant-per-query alloc guard (recorder on vs off;
+# the constant must not scale with morsel count).
 guard-obs:
-	$(GO) test -count=1 -run 'TestApplyFilterNoTracerAddsZeroAllocs|TestQueryRecorderConstantAllocOverhead' .
+	$(GO) test -count=1 -run 'TestApplyFilterNoTracerAddsZeroAllocs' ./internal/ops/
+	$(GO) test -count=1 -run 'TestQueryRecorderConstantAllocOverhead' .
 
 # race-pipeline focuses the race detector on the morsel executor: the
-# worker-local-state scheduler tests and the pipelined-vs-legacy
-# equivalence, fallback, and acceptance tests.
+# worker-local-state scheduler tests, the pipeline-vs-naive-full-scan
+# reference property, and the IO/trace acceptance tests.
 race-pipeline:
 	$(GO) test -race -count=1 -run TestParallelMorsels ./internal/exec/
 	$(GO) test -race -count=1 -run 'TestPipeline|TestExplainAnalyze|TestTracedGatherSpans' .
@@ -115,15 +117,17 @@ bench-planner:
 		| $(GO) run ./cmd/benchjson -o $(PLANNERBENCHOUT) -section current
 
 # bench-pipeline writes BENCH_PR5.json: the same two-conjunct query on
-# an 8+ row-group table through the morsel pipeline vs the
-# operator-at-a-time barrier engine, for Count, SumFloat, and
-# GroupCount — wall time, allocs/op, and pagesRead/op side by side.
-# One invocation measures both engines so the comparison shares process
-# state.
+# an 8+ row-group table through the morsel pipeline, for Count,
+# SumFloat, and GroupCount — wall time, allocs/op, and pagesRead/op.
+# The checked-in "current" section is the last run that also measured
+# the operator-at-a-time barrier engine, the evidence for deleting it;
+# reruns write the pipelined variants to their own "pipeline" section so
+# that evidence survives. The clustered variant still asserts that its
+# zone maps prune pages.
 PIPELINEBENCHOUT ?= BENCH_PR5.json
 bench-pipeline:
 	$(GO) test -run xxx -bench BenchmarkPipelineVsBarrier -benchmem . \
-		| $(GO) run ./cmd/benchjson -o $(PIPELINEBENCHOUT) -section current
+		| $(GO) run ./cmd/benchjson -o $(PIPELINEBENCHOUT) -section pipeline
 
 # bench-scale writes BENCH_PR7.json: the SF 1→10 full-scan sweep with
 # the async page prefetcher on vs off (ns/row, query-phase peak RSS,

@@ -6,6 +6,7 @@ package codecdb
 // bitmap compression — against its naive alternative.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -130,7 +131,7 @@ func BenchmarkFilterHotPath(b *testing.B) {
 		f := &ops.DictFilter{Col: "shipdate", Op: sboost.OpLt, IntValue: 40}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bm, err := f.Apply(r, pool)
+			bm, err := ops.ApplyFilter(context.Background(), f, r, pool, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -144,7 +145,7 @@ func BenchmarkFilterHotPath(b *testing.B) {
 		f := &ops.BitPackedFilter{Col: "quantity", Op: sboost.OpLt, Value: 24}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := f.Apply(r, pool); err != nil {
+			if _, err := ops.ApplyFilter(context.Background(), f, r, pool, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -179,50 +180,6 @@ func BenchmarkAblationStripeCount(b *testing.B) {
 			if _, err := ops.HashAggregate(keys, specs); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// BenchmarkAblationBatchCache measures the batch execution feature
-// (§5.2): eight operators reading the same column with and without the
-// shared cache.
-func BenchmarkAblationBatchCache(b *testing.B) {
-	const n = 1 << 18
-	r := ablationTable(b, n)
-	pool := exec.NewPool(0)
-	const readers = 8
-	b.Run("WithCache", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cache := exec.NewBatchCache()
-			var wg sync.WaitGroup
-			for k := 0; k < readers; k++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					_, err := cache.Load("v", func() (any, error) {
-						return ops.ReadAllInts(r, "v", pool)
-					})
-					if err != nil {
-						b.Error(err)
-					}
-				}()
-			}
-			wg.Wait()
-		}
-	})
-	b.Run("WithoutCache", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for k := 0; k < readers; k++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if _, err := ops.ReadAllInts(r, "v", pool); err != nil {
-						b.Error(err)
-					}
-				}()
-			}
-			wg.Wait()
 		}
 	})
 }

@@ -17,7 +17,7 @@ import (
 // obs.Span, and stay byte-for-byte on the untraced path otherwise. IO is
 // attributed to spans by before/after deltas of the reader's counters, so
 // per-node page totals always sum to the reader's IOStats for the query.
-// Instrumentation lives here in the wrappers — never inside ApplyCtx —
+// Instrumentation lives here in the wrappers — never inside the kernels —
 // which keeps the kernels clean and lets tests assert the disabled-tracer
 // path adds zero allocations.
 
@@ -135,7 +135,7 @@ func DescribeFilter(f Filter, r *colstore.Reader) []string {
 }
 
 // describeResolveIn counts how many IN values resolve to dictionary keys,
-// mirroring DictInFilter.ApplyCtx's resolution.
+// mirroring DictInFilter.prepare's resolution.
 func describeResolveIn(f *DictInFilter, r *colstore.Reader) (int, error) {
 	ci, col, err := r.Column(f.Col)
 	if err != nil {
@@ -169,7 +169,7 @@ func describeResolveIn(f *DictInFilter, r *colstore.Reader) (int, error) {
 	return n, nil
 }
 
-// describeKeysIn names the scan strategy scanKeysIn will pick for a key
+// describeKeysIn names the scan strategy prepareKeysIn will pick for a key
 // set of the given size (the contiguity and width checks are data-
 // dependent, so the description covers the candidates).
 func describeKeysIn(keys int) []string {
@@ -200,13 +200,6 @@ func ioDelta(before, after colstore.IOStats) obs.SpanIO {
 // With a selection the span's rows-in is the selection cardinality — the
 // rows this operator actually had to consider — rather than the table size.
 func applyFilterTraced(ctx context.Context, parent *obs.Span, f Filter, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	return applyFilterTracedEst(ctx, parent, f, r, pool, sel, nil)
-}
-
-// applyFilterTracedEst is applyFilterTraced plus the planner's estimate:
-// when est is non-nil the span carries an estimated-vs-actual selectivity
-// line, the EXPLAIN ANALYZE evidence for the chosen conjunct order.
-func applyFilterTracedEst(ctx context.Context, parent *obs.Span, f Filter, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap, est *PredEstimate) (*bitutil.SectionalBitmap, error) {
 	child := parent.StartChild("Filter[" + FilterName(f) + "]")
 	// Snapshot before describing: plan resolution may lazily fault in the
 	// column dictionary, and that IO belongs to this operator's span (the
@@ -233,9 +226,6 @@ func applyFilterTracedEst(ctx context.Context, parent *obs.Span, f Filter, r *co
 	if err != nil {
 		child.AddDetail("error=%v", err)
 	} else if bm != nil {
-		if est != nil {
-			child.AddDetail("selectivity est=%.4f actual=%.4f", est.Sel, actualSel(bm, rowsIn))
-		}
 		child.SetRows(rowsIn, int64(bm.Cardinality()))
 	}
 	child.End()

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -71,7 +72,7 @@ func TestDictFilterAllOps(t *testing.T) {
 	for _, op := range []sboost.Op{sboost.OpEq, sboost.OpNe, sboost.OpLt, sboost.OpLe, sboost.OpGt, sboost.OpGe} {
 		target := ship[42]
 		f := &DictFilter{Col: "shipdate", Op: op, IntValue: target}
-		bm, err := f.Apply(r, pool)
+		bm, err := ApplyFilter(context.Background(), f, r, pool, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestDictFilterAbsentValue(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := &DictFilter{Col: "shipdate", Op: c.op, IntValue: 1500}
-		bm, err := f.Apply(r, pool)
+		bm, err := ApplyFilter(context.Background(), f, r, pool, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func TestDictFilterAbsentValue(t *testing.T) {
 	}
 	// Absent but in range: e.g. -1 (below all): Ge = all, Lt = none.
 	f := &DictFilter{Col: "shipdate", Op: sboost.OpGe, IntValue: -1}
-	bm, err := f.Apply(r, pool)
+	bm, err := ApplyFilter(context.Background(), f, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestDictFilterPowerOfTwoDictOverflow(t *testing.T) {
 		{sboost.OpEq, 5000, 0},
 		{sboost.OpNe, 5000, n},
 	} {
-		bm, err := (&DictFilter{Col: "v", Op: c.op, IntValue: c.v}).Apply(r, pool)
+		bm, err := ApplyFilter(context.Background(), &DictFilter{Col: "v", Op: c.op, IntValue: c.v}, r, pool, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,14 +167,14 @@ func TestDictFilterString(t *testing.T) {
 	r, _, _, mode := testReader(t, n)
 	pool := exec.NewPool(4)
 	f := &DictFilter{Col: "shipmode", Op: sboost.OpEq, StrValue: []byte("MAIL")}
-	bm, err := f.Apply(r, pool)
+	bm, err := ApplyFilter(context.Background(), f, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBitmap(t, bm, n, func(i int) bool { return bytes.Equal(mode[i], []byte("MAIL")) })
 	// Range on order-preserving string dict: < "RAIL" means AIR, MAIL.
 	f2 := &DictFilter{Col: "shipmode", Op: sboost.OpLt, StrValue: []byte("RAIL")}
-	bm2, err := f2.Apply(r, pool)
+	bm2, err := ApplyFilter(context.Background(), f2, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestDictInFilter(t *testing.T) {
 	r, _, _, mode := testReader(t, n)
 	pool := exec.NewPool(4)
 	f := &DictInFilter{Col: "shipmode", StrValues: [][]byte{[]byte("MAIL"), []byte("SHIP"), []byte("HOVERCRAFT")}}
-	bm, err := f.Apply(r, pool)
+	bm, err := ApplyFilter(context.Background(), f, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestDictInFilter(t *testing.T) {
 	})
 	// All absent: empty result.
 	f2 := &DictInFilter{Col: "shipmode", StrValues: [][]byte{[]byte("X")}}
-	bm2, err := f2.Apply(r, pool)
+	bm2, err := ApplyFilter(context.Background(), f2, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestDictLikeFilter(t *testing.T) {
 	pool := exec.NewPool(4)
 	// LIKE '%AIL' — matches MAIL and RAIL.
 	f := &DictLikeFilter{Col: "shipmode", Match: func(e []byte) bool { return bytes.HasSuffix(e, []byte("AIL")) }}
-	bm, err := f.Apply(r, pool)
+	bm, err := ApplyFilter(context.Background(), f, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,14 +231,14 @@ func TestTwoColumnFilter(t *testing.T) {
 		all = append(all, vals...)
 	}
 	f := &TwoColumnFilter{ColA: "commitdate", ColB: "receiptdate", Op: sboost.OpLt}
-	bm, err := f.Apply(r, pool)
+	bm, err := ApplyFilter(context.Background(), f, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBitmap(t, bm, n, func(i int) bool { return commit[i] < all[i] })
 	// Columns without a shared dictionary must be rejected.
 	bad := &TwoColumnFilter{ColA: "shipdate", ColB: "commitdate", Op: sboost.OpLt}
-	if _, err := bad.Apply(r, pool); err == nil {
+	if _, err := ApplyFilter(context.Background(), bad, r, pool, nil); err == nil {
 		t.Fatal("unshared dictionaries should error")
 	}
 }
@@ -247,14 +248,14 @@ func TestDeltaFilter(t *testing.T) {
 	r, _, _, _ := testReader(t, n)
 	pool := exec.NewPool(4)
 	f := &DeltaFilter{Col: "qty", Op: sboost.OpLe, Value: 1234}
-	bm, err := f.Apply(r, pool)
+	bm, err := ApplyFilter(context.Background(), f, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBitmap(t, bm, n, func(i int) bool { return int64(i) <= 1234 })
 	// Wrong encoding rejected.
 	bad := &DeltaFilter{Col: "shipdate", Op: sboost.OpEq, Value: 1}
-	if _, err := bad.Apply(r, pool); err == nil {
+	if _, err := ApplyFilter(context.Background(), bad, r, pool, nil); err == nil {
 		t.Fatal("delta filter on dict column should error")
 	}
 }
@@ -263,11 +264,11 @@ func TestObliviousFiltersMatchAware(t *testing.T) {
 	const n = 2500
 	r, ship, _, mode := testReader(t, n)
 	pool := exec.NewPool(4)
-	aware, err := (&DictFilter{Col: "shipdate", Op: sboost.OpLe, IntValue: 500}).Apply(r, pool)
+	aware, err := ApplyFilter(context.Background(), &DictFilter{Col: "shipdate", Op: sboost.OpLe, IntValue: 500}, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obliv, err := (&IntPredicateFilter{Col: "shipdate", Pred: func(v int64) bool { return v <= 500 }}).Apply(r, pool)
+	obliv, err := ApplyFilter(context.Background(), &IntPredicateFilter{Col: "shipdate", Pred: func(v int64) bool { return v <= 500 }}, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestObliviousFiltersMatchAware(t *testing.T) {
 			t.Fatalf("row %d: aware %v oblivious %v (value %d)", i, aware.Get(i), obliv.Get(i), ship[i])
 		}
 	}
-	strBm, err := (&StrPredicateFilter{Col: "shipmode", Pred: func(v []byte) bool { return len(v) == 4 }}).Apply(r, pool)
+	strBm, err := ApplyFilter(context.Background(), &StrPredicateFilter{Col: "shipmode", Pred: func(v []byte) bool { return len(v) == 4 }}, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestFullAndEmptyTableBitmaps(t *testing.T) {
 func TestFilterUnknownColumn(t *testing.T) {
 	r, _, _, _ := testReader(t, 100)
 	pool := exec.NewPool(1)
-	if _, err := (&DictFilter{Col: "nope", Op: sboost.OpEq, IntValue: 1}).Apply(r, pool); err == nil {
+	if _, err := ApplyFilter(context.Background(), &DictFilter{Col: "nope", Op: sboost.OpEq, IntValue: 1}, r, pool, nil); err == nil {
 		t.Fatal("unknown column should error")
 	}
 }

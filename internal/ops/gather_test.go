@@ -2,6 +2,7 @@ package ops
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -167,7 +168,7 @@ func TestDictIntPredFilterDirect(t *testing.T) {
 	r, ints, _, _ := gatherFixture(t)
 	pool := exec.NewPool(2)
 	f := &DictIntPredFilter{Col: "i", Pred: func(v int64) bool { return v%7 == 0 }}
-	bm, err := f.Apply(r, pool)
+	bm, err := ApplyFilter(context.Background(), f, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestDictIntPredFilterDirect(t *testing.T) {
 		}
 	}
 	// Predicate on a string column must be rejected.
-	if _, err := (&DictIntPredFilter{Col: "s", Pred: func(int64) bool { return true }}).Apply(r, pool); err == nil {
+	if _, err := ApplyFilter(context.Background(), &DictIntPredFilter{Col: "s", Pred: func(int64) bool { return true }}, r, pool, nil); err == nil {
 		t.Fatal("string column should be rejected")
 	}
 }
@@ -185,7 +186,7 @@ func TestDictIntPredFilterDirect(t *testing.T) {
 func TestFloatPredicateFilterDirect(t *testing.T) {
 	r, _, floats, _ := gatherFixture(t)
 	pool := exec.NewPool(2)
-	bm, err := (&FloatPredicateFilter{Col: "f", Pred: func(v float64) bool { return v > 1000 }}).Apply(r, pool)
+	bm, err := ApplyFilter(context.Background(), &FloatPredicateFilter{Col: "f", Pred: func(v float64) bool { return v > 1000 }}, r, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -104,24 +103,14 @@ type pipeNode struct {
 	kids []*pipeNode
 }
 
-// errNotPreparable flags a plan leaf whose filter does not implement the
-// kernel interface (an external Filter); the pipeline then computes the
-// selection through the legacy barrier path and morselizes only the
-// terminal.
-var errNotPreparable = errors.New("ops: filter has no row-group kernel")
-
 // pipeline is one compiled query: the filter tree, the terminal, and the
 // per-query constants every worker shares read-only.
 type pipeline struct {
 	r    *colstore.Reader
 	pool *exec.Pool
-	plan *Plan
 
 	root   *pipeNode
 	leaves []*pipeLeaf
-	// fallback routes selection through plan.Execute (operator-at-a-time)
-	// when some leaf has no kernel; the terminal still runs morsel-wise.
-	fallback bool
 
 	term TermKind
 	col  string
@@ -132,9 +121,8 @@ type pipeline struct {
 	// a grouped or collected sink.
 	rel *RelPlan
 
-	// fetch is the per-query page prefetcher (nil when prefetch is off,
-	// the plan fell back to the barrier path, or nothing is worth
-	// scheduling). It is started before the morsel loop and closed when
+	// fetch is the per-query page prefetcher (nil when prefetch is off or
+	// nothing is worth scheduling). It is started before the morsel loop and closed when
 	// the run returns.
 	fetch *colstore.PageFetcher
 
@@ -211,12 +199,11 @@ type pipeParts struct {
 }
 
 // buildPipeline compiles a planned query against one reader: every plan
-// leaf is prepared into a kernel (or the whole selection falls back to the
-// barrier path), terminal columns are resolved, and — because lazy
+// leaf is prepared into a kernel, terminal columns are resolved, and — because lazy
 // dictionary faults bypass the per-stage IO taps — every dictionary any
 // stage could touch is faulted now, inside the Prepare window.
 func buildPipeline(r *colstore.Reader, pool *exec.Pool, pl *Plan, term TermKind, col string, rp *RelPlan, traced bool) (*pipeline, error) {
-	p := &pipeline{r: r, pool: pool, plan: pl, term: term, col: col, ci: -1, traced: traced}
+	p := &pipeline{r: r, pool: pool, term: term, col: col, ci: -1, traced: traced}
 	if pl != nil {
 		nLeaves, nNodes := countPlan(pl.Root)
 		if nLeaves <= len(p.leafArr) {
@@ -232,16 +219,10 @@ func buildPipeline(r *colstore.Reader, pool *exec.Pool, pl *Plan, term TermKind,
 			p.nodeBuf = make([]pipeNode, 0, nNodes)
 		}
 		root, err := p.compileNode(pl.Root)
-		switch {
-		case errors.Is(err, errNotPreparable):
-			p.fallback = true
-			p.root = nil
-			p.leaves = nil
-		case err != nil:
+		if err != nil {
 			return nil, err
-		default:
-			p.root = root
 		}
+		p.root = root
 		if traced {
 			p.prefaultDicts(pl.Root.Pred)
 		}
@@ -322,11 +303,7 @@ func countPlan(n *PlanNode) (leaves, nodes int) {
 func (p *pipeline) compileNode(n *PlanNode) (*pipeNode, error) {
 	switch n.Pred.Kind {
 	case PredLeaf, PredNot:
-		pb, ok := n.Pred.Leaf.(preparable)
-		if !ok {
-			return nil, errNotPreparable
-		}
-		pf, err := pb.prepare(p.r)
+		pf, err := n.Pred.Leaf.prepare(p.r)
 		if err != nil {
 			return nil, err
 		}
@@ -471,19 +448,10 @@ func (p *pipeline) newWorker(wi int) *pipeWorker {
 	return w
 }
 
-// run executes the compiled pipeline: one fallback barrier pass when some
-// filter has no kernel, then every row group claimed morsel-at-a-time and
-// driven through filters and terminal by one worker, then a final merge of
-// the worker partials.
+// run executes the compiled pipeline: every row group claimed
+// morsel-at-a-time and driven through filters and terminal by one worker,
+// then a final merge of the worker partials.
 func (p *pipeline) run(ctx context.Context) (*PipelineResult, error) {
-	var fsel *bitutil.SectionalBitmap
-	if p.fallback {
-		var err error
-		fsel, err = p.plan.Execute(ctx, p.r, p.pool)
-		if err != nil {
-			return nil, err
-		}
-	}
 	n := p.r.NumRowGroups()
 	parts := p.initParts(n)
 	nw := p.pool.Size()
@@ -519,7 +487,7 @@ func (p *pipeline) run(ctx context.Context) (*PipelineResult, error) {
 	workers, err := exec.ParallelMorselsLimited(ctx, p.pool, n, nw,
 		p.newWorker,
 		func(mctx context.Context, w *pipeWorker, rg int) error {
-			return p.runMorsel(mctx, w, rg, fsel, parts)
+			return p.runMorsel(mctx, w, rg, parts)
 		}, hooks)
 	p.workers = workers
 	p.releaseWorkers(workers)
@@ -677,8 +645,7 @@ func MaxWorkersFrom(ctx context.Context) int {
 
 // buildFetcher computes the query's page schedule and starts the
 // background prefetcher, or returns nil when there is nothing to gain:
-// prefetch disabled, barrier fallback (the legacy path owns its own
-// reads), a provably-empty first stage, or a terminal that reads no
+// prefetch disabled, a provably-empty first stage, or a terminal that reads no
 // pages. Only the first planned stage is scheduled — it is the one stage
 // guaranteed to run over the unrestricted selection, so its metadata
 // disposition exactly predicts its kernel's page fetches; later stages
@@ -686,7 +653,7 @@ func MaxWorkersFrom(ctx context.Context) int {
 // without risking speculative reads of pages the query never touches.
 func (p *pipeline) buildFetcher(ctx context.Context) *colstore.PageFetcher {
 	opt, _ := ctx.Value(prefetchKey{}).(prefetchOpt)
-	if opt.off || p.fallback {
+	if opt.off {
 		return nil
 	}
 	var sched func(rg int) []schedSet
@@ -720,25 +687,15 @@ func (p *pipeline) buildFetcher(ctx context.Context) *colstore.PageFetcher {
 }
 
 // runMorsel drives one row group through the whole pipeline on one worker.
-func (p *pipeline) runMorsel(ctx context.Context, w *pipeWorker, rg int, fsel *bitutil.SectionalBitmap, parts *pipeParts) error {
+func (p *pipeline) runMorsel(ctx context.Context, w *pipeWorker, rg int, parts *pipeParts) error {
 	var bm *bitutil.Bitmap
-	switch {
-	case p.fallback:
-		sec, skip := sectionSelection(fsel, rg)
-		if !skip {
-			if sec == nil {
-				bm = fullGroupBitmap(p.r.RowGroupRows(rg))
-			} else {
-				bm = sec
-			}
-		}
-	case p.root != nil:
+	if p.root != nil {
 		var err error
 		bm, err = w.evalNode(ctx, rg, p.root, nil)
 		if err != nil {
 			return err
 		}
-	default:
+	} else {
 		bm = fullGroupBitmap(p.r.RowGroupRows(rg))
 	}
 	if p.term == TermRel {
@@ -750,7 +707,7 @@ func (p *pipeline) runMorsel(ctx context.Context, w *pipeWorker, rg int, fsel *b
 // terminal runs the pipeline's sink over one row group's selection: count,
 // row-id collection, a selective gather, or partial aggregation into the
 // worker's table. An empty selection touches no chunk — no pages, no skip
-// marks — matching the historical sweep.
+// marks.
 func (p *pipeline) terminal(w *pipeWorker, rg int, bm *bitutil.Bitmap, parts *pipeParts) error {
 	var start time.Time
 	if w.stats != nil {
@@ -817,8 +774,7 @@ func (p *pipeline) terminal(w *pipeWorker, rg int, bm *bitutil.Bitmap, parts *pi
 }
 
 // evalNode evaluates one pipeline subtree over one row group, restricted
-// to secSel (nil means every row of the group). The section-level algebra
-// mirrors execNode/execOr exactly: AND threads the shrinking selection and
+// to secSel (nil means every row of the group). AND threads the shrinking selection and
 // stops when it empties, OR evaluates each branch only over rows no
 // earlier branch matched, NOT subtracts the leaf from its selection. When
 // a short-circuit strands later filters, their pages are marked
@@ -1015,26 +971,24 @@ func runPipelineTraced(ctx context.Context, sp *obs.Span, r *colstore.Reader, po
 	prep.End()
 	prep.SetDuration(prepDur)
 	if p != nil {
-		if !p.fallback {
-			for _, lf := range p.leaves {
-				fs := child.StartChild("Filter[" + lf.name + "]")
-				for _, d := range DescribeFilter(lf.f, r) {
-					fs.AddDetail("%s", d)
-				}
-				st := p.mergedStats(lf.idx)
-				if st.pushed {
-					fs.AddDetail("selection-pushed: %d of %d rows remain", st.rowsIn, r.NumRows())
-				}
-				if st.rowsIn > 0 {
-					fs.AddDetail("selectivity est=%.4f actual=%.4f", lf.est, float64(st.rowsOut)/float64(st.rowsIn))
-				}
-				fs.SetRows(st.rowsIn, st.rowsOut)
-				tap := p.mergedIOTap(lf.idx)
-				addStageTimeDetails(fs, &tap, st.nanos)
-				fs.AddIO(spanIOFromTap(&tap))
-				fs.End()
-				fs.SetDuration(time.Duration(st.nanos))
+		for _, lf := range p.leaves {
+			fs := child.StartChild("Filter[" + lf.name + "]")
+			for _, d := range DescribeFilter(lf.f, r) {
+				fs.AddDetail("%s", d)
 			}
+			st := p.mergedStats(lf.idx)
+			if st.pushed {
+				fs.AddDetail("selection-pushed: %d of %d rows remain", st.rowsIn, r.NumRows())
+			}
+			if st.rowsIn > 0 {
+				fs.AddDetail("selectivity est=%.4f actual=%.4f", lf.est, float64(st.rowsOut)/float64(st.rowsIn))
+			}
+			fs.SetRows(st.rowsIn, st.rowsOut)
+			tap := p.mergedIOTap(lf.idx)
+			addStageTimeDetails(fs, &tap, st.nanos)
+			fs.AddIO(spanIOFromTap(&tap))
+			fs.End()
+			fs.SetDuration(time.Duration(st.nanos))
 		}
 		if p.rel != nil {
 			for si := range p.rel.Stages {

@@ -40,26 +40,17 @@ type sharedWorker struct {
 // to build or errors mid-scan fails alone; the others complete. The third
 // return is fatal: pool submission failure, worker panic, or context
 // cancellation, in which case per-item results are not meaningful.
-//
-// Items whose plan cannot compile to kernels (external filters) cannot
-// join the wave; they run solo through RunPipeline after the wave so the
-// caller still gets every answer from one call.
 func RunShared(ctx context.Context, r *colstore.Reader, pool *exec.Pool, items []SharedItem) ([]*PipelineResult, []error, error) {
 	results := make([]*PipelineResult, len(items))
 	errs := make([]error, len(items))
 	var (
 		members   []*pipeline
 		memberIdx []int
-		solo      []int
 	)
 	for i, it := range items {
 		p, err := buildPipeline(r, pool, it.Plan, it.Term, it.Col, nil, false)
 		if err != nil {
 			errs[i] = err
-			continue
-		}
-		if p.fallback {
-			solo = append(solo, i)
 			continue
 		}
 		members = append(members, p)
@@ -70,13 +61,10 @@ func RunShared(ctx context.Context, r *colstore.Reader, pool *exec.Pool, items [
 			return results, errs, err
 		}
 	}
-	for _, i := range solo {
-		results[i], errs[i] = RunPipeline(ctx, r, pool, items[i].Plan, items[i].Term, items[i].Col)
-	}
 	return results, errs, ctx.Err()
 }
 
-// runWave runs the non-fallback members as one morsel pass. A member
+// runWave runs the members as one morsel pass. A member
 // error is recorded in its errs slot and the member sits out the rest of
 // the wave; only cancellation or a panic aborts the pass itself.
 func runWave(ctx context.Context, r *colstore.Reader, pool *exec.Pool, members []*pipeline, memberIdx []int, results []*PipelineResult, errs []error) error {
@@ -127,7 +115,7 @@ func runWave(ctx context.Context, r *colstore.Reader, pool *exec.Pool, members [
 				if failed[j].Load() {
 					continue
 				}
-				if merr := p.runMorsel(mctx, sw.ws[j], rg, nil, &p.parts); merr != nil {
+				if merr := p.runMorsel(mctx, sw.ws[j], rg, &p.parts); merr != nil {
 					if mctx.Err() != nil {
 						// Cancellation surfaces through every member at
 						// once; abort the wave instead of failing them all.

@@ -1,6 +1,7 @@
 package ssb
 
 import (
+	"context"
 	"fmt"
 
 	"codecdb/internal/bitutil"
@@ -67,19 +68,19 @@ func sbmBytes(s *bitutil.SectionalBitmap) int64 { return int64(s.CompressedSizeB
 // ---- flight 1 ----
 
 func (t *Tables) codecFlight1(spec flight1Spec) (Result, error) {
-	dateSel, err := (&ops.DictIntPredFilter{Col: "lo_orderdate", Pred: spec.datePred}).Apply(t.LO, t.Pool)
+	dateSel, err := ops.ApplyFilter(context.Background(), &ops.DictIntPredFilter{Col: "lo_orderdate", Pred: spec.datePred}, t.LO, t.Pool, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	discSel, err := (&ops.DictIntPredFilter{Col: "lo_discount", Pred: func(v int64) bool {
+	discSel, err := ops.ApplyFilter(context.Background(), &ops.DictIntPredFilter{Col: "lo_discount", Pred: func(v int64) bool {
 		return v >= spec.discLo && v <= spec.discHi
-	}}).Apply(t.LO, t.Pool)
+	}}, t.LO, t.Pool, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	qtySel, err := (&ops.DictIntPredFilter{Col: "lo_quantity", Pred: func(v int64) bool {
+	qtySel, err := ops.ApplyFilter(context.Background(), &ops.DictIntPredFilter{Col: "lo_quantity", Pred: func(v int64) bool {
 		return v >= spec.qtyLo && v <= spec.qtyHi
-	}}).Apply(t.LO, t.Pool)
+	}}, t.LO, t.Pool, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -206,7 +207,7 @@ func (t *Tables) codecFact(spec *factSpec) (Result, error) {
 	var sel *bitutil.SectionalBitmap
 	var inter int64
 	if spec.datePred != nil {
-		sel, err = (&ops.DictIntPredFilter{Col: "lo_orderdate", Pred: spec.datePred}).Apply(t.LO, t.Pool)
+		sel, err = ops.ApplyFilter(context.Background(), &ops.DictIntPredFilter{Col: "lo_orderdate", Pred: spec.datePred}, t.LO, t.Pool, nil)
 		if err != nil {
 			return Result{}, err
 		}

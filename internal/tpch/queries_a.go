@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"bytes"
+	"context"
 
 	"codecdb/internal/memtable"
 	"codecdb/internal/ops"
@@ -67,7 +68,7 @@ func q1Rows(rf, ls [][]byte, qty []int64, price, disc, tax []float64, match func
 
 func q1Codec(t *Tables) (*memtable.RowTable, error) {
 	cutoff := Date(1998, 9, 2)
-	sel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLe, IntValue: cutoff}).Apply(t.L, t.Pool)
+	sel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLe, IntValue: cutoff}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -232,13 +233,13 @@ func nationsOfRegion(t *Tables, region string) (map[int64]bool, map[int64][]byte
 }
 
 func q2Codec(t *Tables) (*memtable.RowTable, error) {
-	typeSel, err := (&ops.DictLikeFilter{Col: "p_type", Match: func(e []byte) bool {
+	typeSel, err := ops.ApplyFilter(context.Background(), &ops.DictLikeFilter{Col: "p_type", Match: func(e []byte) bool {
 		return bytes.HasSuffix(e, []byte("BRASS"))
-	}}).Apply(t.P, t.Pool)
+	}}, t.P, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	sizeSel, err := (&ops.IntPredicateFilter{Col: "p_size", Pred: func(v int64) bool { return v == 15 }}).Apply(t.P, t.Pool)
+	sizeSel, err := ops.ApplyFilter(context.Background(), &ops.IntPredicateFilter{Col: "p_size", Pred: func(v int64) bool { return v == 15 }}, t.P, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +293,7 @@ func q3Finish(t *Tables, orderRevenue map[int64]float64, orderDate map[int64]int
 
 func q3Codec(t *Tables) (*memtable.RowTable, error) {
 	cutoff := Date(1995, 3, 15)
-	cSel, err := (&ops.DictFilter{Col: "c_mktsegment", Op: sboost.OpEq, StrValue: []byte("BUILDING")}).Apply(t.C, t.Pool)
+	cSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "c_mktsegment", Op: sboost.OpEq, StrValue: []byte("BUILDING")}, t.C, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +302,7 @@ func q3Codec(t *Tables) (*memtable.RowTable, error) {
 		return nil, err
 	}
 	custMap := ops.HashJoinBuild(t.Pool, custKeys, nil)
-	oSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: cutoff}).Apply(t.O, t.Pool)
+	oSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: cutoff}, t.O, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +326,7 @@ func q3Codec(t *Tables) (*memtable.RowTable, error) {
 		orderKeys = append(orderKeys, oKey[i])
 	})
 	orderMap := ops.HashJoinBuild(t.Pool, orderKeys, nil)
-	lSel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGt, IntValue: cutoff}).Apply(t.L, t.Pool)
+	lSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGt, IntValue: cutoff}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -426,7 +427,7 @@ func q4Finish(counts map[string]int64) *memtable.RowTable {
 
 func q4Codec(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1993, 7, 1), Date(1993, 10, 1)
-	lateSel, err := (&ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}).Apply(t.L, t.Pool)
+	lateSel, err := ops.ApplyFilter(context.Background(), &ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -435,11 +436,11 @@ func q4Codec(t *Tables) (*memtable.RowTable, error) {
 		return nil, err
 	}
 	lateOrders := ops.HashJoinBuild(t.Pool, lOrder, nil)
-	geSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.O, t.Pool)
+	geSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "o_orderdate", Op: sboost.OpGe, IntValue: lo}, t.O, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	ltSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.O, t.Pool)
+	ltSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: hi}, t.O, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -553,11 +554,11 @@ func q5Codec(t *Tables) (*memtable.RowTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	geSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.O, t.Pool)
+	geSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "o_orderdate", Op: sboost.OpGe, IntValue: lo}, t.O, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	ltSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.O, t.Pool)
+	ltSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: hi}, t.O, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -625,11 +626,11 @@ var q6Types = []memtable.ColType{memtable.ColFloat64}
 
 func q6Codec(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1994, 1, 1), Date(1995, 1, 1)
-	geSel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.L, t.Pool)
+	geSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: lo}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	ltSel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.L, t.Pool)
+	ltSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLt, IntValue: hi}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -744,11 +745,11 @@ func q7Shared(t *Tables, lOrder, lSupp, ship []int64, price, disc []float64) (*m
 }
 
 func q7Codec(t *Tables) (*memtable.RowTable, error) {
-	geSel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: Date(1995, 1, 1)}).Apply(t.L, t.Pool)
+	geSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: Date(1995, 1, 1)}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	leSel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLe, IntValue: Date(1996, 12, 31)}).Apply(t.L, t.Pool)
+	leSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLe, IntValue: Date(1996, 12, 31)}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -906,7 +907,7 @@ func q8Shared(t *Tables, partSet map[int64]bool) (*memtable.RowTable, error) {
 }
 
 func q8Codec(t *Tables) (*memtable.RowTable, error) {
-	pSel, err := (&ops.DictFilter{Col: "p_type", Op: sboost.OpEq, StrValue: []byte("ECONOMY ANODIZED STEEL")}).Apply(t.P, t.Pool)
+	pSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "p_type", Op: sboost.OpEq, StrValue: []byte("ECONOMY ANODIZED STEEL")}, t.P, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"bytes"
+	"context"
 
 	"codecdb/internal/memtable"
 	"codecdb/internal/ops"
@@ -106,9 +107,9 @@ func q9Shared(t *Tables, partSet map[int64]bool) (*memtable.RowTable, error) {
 func q9Codec(t *Tables) (*memtable.RowTable, error) {
 	// p_name is plain-encoded; the contains predicate runs obliviously but
 	// only over the small part table.
-	sel, err := (&ops.StrPredicateFilter{Col: "p_name", Pred: func(v []byte) bool {
+	sel, err := ops.ApplyFilter(context.Background(), &ops.StrPredicateFilter{Col: "p_name", Pred: func(v []byte) bool {
 		return bytes.Contains(v, []byte("green"))
-	}}).Apply(t.P, t.Pool)
+	}}, t.P, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -177,11 +178,11 @@ func q10Finish(t *Tables, revenue map[int64]float64) (*memtable.RowTable, error)
 
 func q10Codec(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1993, 10, 1), Date(1994, 1, 1)
-	geSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.O, t.Pool)
+	geSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "o_orderdate", Op: sboost.OpGe, IntValue: lo}, t.O, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	ltSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.O, t.Pool)
+	ltSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: hi}, t.O, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +201,7 @@ func q10Codec(t *Tables) (*memtable.RowTable, error) {
 			orderCust.Insert(oKey[i], oCust[i])
 		}
 	})
-	rSel, err := (&ops.DictFilter{Col: "l_returnflag", Op: sboost.OpEq, StrValue: []byte("R")}).Apply(t.L, t.Pool)
+	rSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_returnflag", Op: sboost.OpEq, StrValue: []byte("R")}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -387,23 +388,23 @@ func isHighPriority(p []byte) bool {
 
 func q12Codec(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1994, 1, 1), Date(1995, 1, 1)
-	sel, err := (&ops.DictInFilter{Col: "l_shipmode", StrValues: [][]byte{[]byte("MAIL"), []byte("SHIP")}}).Apply(t.L, t.Pool)
+	sel, err := ops.ApplyFilter(context.Background(), &ops.DictInFilter{Col: "l_shipmode", StrValues: [][]byte{[]byte("MAIL"), []byte("SHIP")}}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	cr, err := (&ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}).Apply(t.L, t.Pool)
+	cr, err := ops.ApplyFilter(context.Background(), &ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := (&ops.TwoColumnFilter{ColA: "l_shipdate", ColB: "l_commitdate", Op: sboost.OpLt}).Apply(t.L, t.Pool)
+	sc, err := ops.ApplyFilter(context.Background(), &ops.TwoColumnFilter{ColA: "l_shipdate", ColB: "l_commitdate", Op: sboost.OpLt}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	ge, err := (&ops.DictFilter{Col: "l_receiptdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.L, t.Pool)
+	ge, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_receiptdate", Op: sboost.OpGe, IntValue: lo}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	lt, err := (&ops.DictFilter{Col: "l_receiptdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.L, t.Pool)
+	lt, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_receiptdate", Op: sboost.OpLt, IntValue: hi}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -501,10 +502,10 @@ func q13Shared(t *Tables, orderCounts map[int64]int64, numCustomers int) *memtab
 func q13Codec(t *Tables) (*memtable.RowTable, error) {
 	// The NOT LIKE '%special%requests%' predicate runs on the plain
 	// comment column; CodecDB's win is the stripe aggregation over custkey.
-	sel, err := (&ops.StrPredicateFilter{Col: "o_comment", Pred: func(v []byte) bool {
+	sel, err := ops.ApplyFilter(context.Background(), &ops.StrPredicateFilter{Col: "o_comment", Pred: func(v []byte) bool {
 		i := bytes.Index(v, []byte("special"))
 		return i < 0 || !bytes.Contains(v[i:], []byte("requests"))
-	}}).Apply(t.O, t.Pool)
+	}}, t.O, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -561,9 +562,9 @@ func q14Finish(promo, total float64) *memtable.RowTable {
 
 func q14Codec(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1995, 9, 1), Date(1995, 10, 1)
-	pSel, err := (&ops.DictLikeFilter{Col: "p_type", Match: func(e []byte) bool {
+	pSel, err := ops.ApplyFilter(context.Background(), &ops.DictLikeFilter{Col: "p_type", Match: func(e []byte) bool {
 		return bytes.HasPrefix(e, []byte("PROMO"))
-	}}).Apply(t.P, t.Pool)
+	}}, t.P, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -572,11 +573,11 @@ func q14Codec(t *Tables) (*memtable.RowTable, error) {
 		return nil, err
 	}
 	promoSet := ops.HashJoinBuild(t.Pool, pk, nil)
-	ge, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.L, t.Pool)
+	ge, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: lo}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	lt, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.L, t.Pool)
+	lt, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLt, IntValue: hi}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -678,11 +679,11 @@ func q15Finish(t *Tables, revenue map[int64]float64) (*memtable.RowTable, error)
 
 func q15Codec(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1996, 1, 1), Date(1996, 4, 1)
-	ge, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.L, t.Pool)
+	ge, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: lo}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	lt, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.L, t.Pool)
+	lt, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLt, IntValue: hi}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"bytes"
+	"context"
 
 	"codecdb/internal/memtable"
 	"codecdb/internal/ops"
@@ -88,17 +89,17 @@ func q16PartPred(brand, ptype []byte, size int64) bool {
 }
 
 func q16Codec(t *Tables) (*memtable.RowTable, error) {
-	bSel, err := (&ops.DictFilter{Col: "p_brand", Op: sboost.OpNe, StrValue: []byte("Brand#45")}).Apply(t.P, t.Pool)
+	bSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "p_brand", Op: sboost.OpNe, StrValue: []byte("Brand#45")}, t.P, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	tSel, err := (&ops.DictLikeFilter{Col: "p_type", Match: func(e []byte) bool {
+	tSel, err := ops.ApplyFilter(context.Background(), &ops.DictLikeFilter{Col: "p_type", Match: func(e []byte) bool {
 		return !bytes.HasPrefix(e, []byte("MEDIUM POLISHED"))
-	}}).Apply(t.P, t.Pool)
+	}}, t.P, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	zSel, err := (&ops.IntPredicateFilter{Col: "p_size", Pred: func(v int64) bool { return q16Sizes[v] }}).Apply(t.P, t.Pool)
+	zSel, err := ops.ApplyFilter(context.Background(), &ops.IntPredicateFilter{Col: "p_size", Pred: func(v int64) bool { return q16Sizes[v] }}, t.P, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -183,11 +184,11 @@ func q17Shared(t *Tables, partSet map[int64]bool) (*memtable.RowTable, error) {
 }
 
 func q17Codec(t *Tables) (*memtable.RowTable, error) {
-	bSel, err := (&ops.DictFilter{Col: "p_brand", Op: sboost.OpEq, StrValue: []byte("Brand#23")}).Apply(t.P, t.Pool)
+	bSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "p_brand", Op: sboost.OpEq, StrValue: []byte("Brand#23")}, t.P, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	cSel, err := (&ops.DictFilter{Col: "p_container", Op: sboost.OpEq, StrValue: []byte("MED BOX")}).Apply(t.P, t.Pool)
+	cSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "p_container", Op: sboost.OpEq, StrValue: []byte("MED BOX")}, t.P, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +391,7 @@ func q19Shared(t *Tables, partBranch map[int64]int) (*memtable.RowTable, error) 
 func q19Codec(t *Tables) (*memtable.RowTable, error) {
 	partBranch := map[int64]int{}
 	for bi, b := range q19Branches {
-		bSel, err := (&ops.DictFilter{Col: "p_brand", Op: sboost.OpEq, StrValue: []byte(b.brand)}).Apply(t.P, t.Pool)
+		bSel, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "p_brand", Op: sboost.OpEq, StrValue: []byte(b.brand)}, t.P, t.Pool, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -398,13 +399,13 @@ func q19Codec(t *Tables) (*memtable.RowTable, error) {
 		for c := range b.containers {
 			conts = append(conts, []byte(c))
 		}
-		cSel, err := (&ops.DictInFilter{Col: "p_container", StrValues: conts}).Apply(t.P, t.Pool)
+		cSel, err := ops.ApplyFilter(context.Background(), &ops.DictInFilter{Col: "p_container", StrValues: conts}, t.P, t.Pool, nil)
 		if err != nil {
 			return nil, err
 		}
-		zSel, err := (&ops.IntPredicateFilter{Col: "p_size", Pred: func(v int64) bool {
+		zSel, err := ops.ApplyFilter(context.Background(), &ops.IntPredicateFilter{Col: "p_size", Pred: func(v int64) bool {
 			return v >= 1 && v <= b.sizeHi
-		}}).Apply(t.P, t.Pool)
+		}}, t.P, t.Pool, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -534,11 +535,11 @@ func q20Codec(t *Tables) (*memtable.RowTable, error) {
 		return nil, err
 	}
 	lo, hi := Date(1994, 1, 1), Date(1995, 1, 1)
-	ge, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.L, t.Pool)
+	ge, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: lo}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
-	lt, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.L, t.Pool)
+	lt, err := ops.ApplyFilter(context.Background(), &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLt, IntValue: hi}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -672,7 +673,7 @@ func q21Shared(t *Tables, lOrder, lSupp []int64, late func(i int) bool) (*memtab
 }
 
 func q21Codec(t *Tables) (*memtable.RowTable, error) {
-	lateSel, err := (&ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}).Apply(t.L, t.Pool)
+	lateSel, err := ops.ApplyFilter(context.Background(), &ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}, t.L, t.Pool, nil)
 	if err != nil {
 		return nil, err
 	}

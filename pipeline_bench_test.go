@@ -43,12 +43,13 @@ func pipelineBenchTable(b *testing.B, n int) (tbl *Table, want int64, wantSum fl
 	return tbl, want, wantSum
 }
 
-// BenchmarkPipelineVsBarrier runs the same two-conjunct query through
-// both engines for each terminal: the morsel pipeline (one pass per row
-// group, worker-local state, partials merged at the end) against the
-// operator-at-a-time barrier path (full-table filter pass, then a
-// full-table gather/aggregate pass). pagesRead/op makes the single-touch
-// property visible; ns/op and allocs/op carry the pipelining win.
+// BenchmarkPipelineVsBarrier runs the same two-conjunct query through the
+// morsel pipeline (one pass per row group, worker-local state, partials
+// merged at the end) for each terminal. pagesRead/op makes the
+// single-touch property visible. The operator-at-a-time barrier engine
+// these numbers were first compared against is gone; BENCH_PR5.json
+// keeps that comparison, and the sub-benchmark names stay as recorded
+// there.
 func BenchmarkPipelineVsBarrier(b *testing.B) {
 	const n = 1 << 18
 	tbl, want, wantSum := pipelineBenchTable(b, n)
@@ -57,13 +58,6 @@ func BenchmarkPipelineVsBarrier(b *testing.B) {
 	}
 
 	query := func() *Query { return tbl.Where("tag", Eq, "common").And("level", Lt, 6) }
-	engines := []struct {
-		name string
-		wrap func(*Query) *Query
-	}{
-		{"Pipelined", func(q *Query) *Query { return q }},
-		{"Barrier", func(q *Query) *Query { return q.withLegacyEngine() }},
-	}
 
 	run := func(b *testing.B, q *Query, step func(*Query) error) {
 		b.Helper()
@@ -78,50 +72,39 @@ func BenchmarkPipelineVsBarrier(b *testing.B) {
 		reportQueryIO(b, tbl)
 	}
 
-	// Each terminal runs its two engines back to back, so every
-	// pipelined-vs-barrier pair compares adjacent measurements.
-	for _, eng := range engines {
-		eng := eng
-		b.Run("Count/"+eng.name, func(b *testing.B) {
-			run(b, eng.wrap(query()), func(q *Query) error {
-				got, err := q.Count()
-				if err == nil && got != want {
-					b.Fatalf("count = %d, want %d", got, want)
-				}
-				return err
-			})
+	b.Run("Count/Pipelined", func(b *testing.B) {
+		run(b, query(), func(q *Query) error {
+			got, err := q.Count()
+			if err == nil && got != want {
+				b.Fatalf("count = %d, want %d", got, want)
+			}
+			return err
 		})
-	}
-	for _, eng := range engines {
-		eng := eng
-		b.Run("SumFloat/"+eng.name, func(b *testing.B) {
-			run(b, eng.wrap(query()), func(q *Query) error {
-				got, err := q.SumFloat("score")
-				if err == nil && math.Abs(got-wantSum) > 1e-6*wantSum {
-					b.Fatalf("sum = %v, want %v", got, wantSum)
-				}
-				return err
-			})
+	})
+	b.Run("SumFloat/Pipelined", func(b *testing.B) {
+		run(b, query(), func(q *Query) error {
+			got, err := q.SumFloat("score")
+			if err == nil && math.Abs(got-wantSum) > 1e-6*wantSum {
+				b.Fatalf("sum = %v, want %v", got, wantSum)
+			}
+			return err
 		})
-	}
-	for _, eng := range engines {
-		eng := eng
-		b.Run("GroupCount/"+eng.name, func(b *testing.B) {
-			run(b, eng.wrap(query()), func(q *Query) error {
-				got, err := q.GroupCount("level")
-				if err == nil {
-					var total int64
-					for _, c := range got {
-						total += c
-					}
-					if total != want {
-						b.Fatalf("group total = %d, want %d", total, want)
-					}
+	})
+	b.Run("GroupCount/Pipelined", func(b *testing.B) {
+		run(b, query(), func(q *Query) error {
+			got, err := q.GroupCount("level")
+			if err == nil {
+				var total int64
+				for _, c := range got {
+					total += c
 				}
-				return err
-			})
+				if total != want {
+					b.Fatalf("group total = %d, want %d", total, want)
+				}
+			}
+			return err
 		})
-	}
+	})
 }
 
 // BenchmarkPipelineVsBarrierClustered is the zone-map complement to
@@ -178,29 +161,20 @@ func BenchmarkPipelineVsBarrierClustered(b *testing.B) {
 		b.Fatalf("clustered table pruned no pages: %+v", st)
 	}
 
-	for _, eng := range []struct {
-		name string
-		wrap func(*Query) *Query
-	}{
-		{"Pipelined", func(q *Query) *Query { return q }},
-		{"Barrier", func(q *Query) *Query { return q.withLegacyEngine() }},
-	} {
-		eng := eng
-		b.Run("Count/"+eng.name, func(b *testing.B) {
-			q := eng.wrap(query())
-			tbl.ResetIOStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, err := q.Count()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != want {
-					b.Fatalf("count = %d, want %d", got, want)
-				}
+	b.Run("Count/Pipelined", func(b *testing.B) {
+		q := query()
+		tbl.ResetIOStats()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			got, err := q.Count()
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			reportQueryIO(b, tbl)
-		})
-	}
+			if got != want {
+				b.Fatalf("count = %d, want %d", got, want)
+			}
+		}
+		b.StopTimer()
+		reportQueryIO(b, tbl)
+	})
 }

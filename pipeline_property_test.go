@@ -7,104 +7,94 @@ import (
 	"reflect"
 	"testing"
 
-	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
-	"codecdb/internal/exec"
-	"codecdb/internal/ops"
 )
 
-// checkEnginesAgree runs every terminal on both engines and fails on any
-// mismatch. Count, Ints, and GroupCount must be byte-identical; SumFloat
-// is compared to within float reassociation error, since the pipelined
-// path folds per-row-group partial sums (in deterministic row-group
-// order) while the legacy path sums one flat vector.
-func checkEnginesAgree(t *testing.T, iter int, q *Query) {
+// checkMatchesReference runs every terminal on the pipeline and compares
+// it with the naive full scan: ref decides each row over the raw arrays
+// in d. Count, RowIDs, Ints, Strings, and GroupCount must match exactly;
+// SumFloat is compared to within float reassociation error, since the
+// pipeline folds per-row-group partial sums (in deterministic row-group
+// order) while the reference sums row by row.
+func checkMatchesReference(t *testing.T, iter int, q *Query, d *propData, ref func(i int) bool) {
 	t.Helper()
-	lq := q.withLegacyEngine()
+	var (
+		wantIDs  []int64
+		wantInts []int64
+		wantStrs []string
+		wantG    = map[string]int64{}
+		wantS    float64
+	)
+	for i := range d.cat {
+		if !ref(i) {
+			continue
+		}
+		wantIDs = append(wantIDs, int64(i))
+		wantInts = append(wantInts, d.small[i])
+		wantStrs = append(wantStrs, string(d.cat[i]))
+		wantG[string(d.cat[i])]++
+		wantS += d.score[i]
+	}
 
 	gotN, err := q.Count()
 	if err != nil {
-		t.Fatalf("iter %d: pipelined Count: %v", iter, err)
+		t.Fatalf("iter %d: Count: %v", iter, err)
 	}
-	wantN, err := lq.Count()
-	if err != nil {
-		t.Fatalf("iter %d: legacy Count: %v", iter, err)
-	}
-	if gotN != wantN {
-		t.Fatalf("iter %d: Count = %d, legacy = %d", iter, gotN, wantN)
+	if gotN != int64(len(wantIDs)) {
+		t.Fatalf("iter %d: Count = %d, reference = %d", iter, gotN, len(wantIDs))
 	}
 
 	gotIDs, err := q.RowIDs()
 	if err != nil {
-		t.Fatalf("iter %d: pipelined RowIDs: %v", iter, err)
+		t.Fatalf("iter %d: RowIDs: %v", iter, err)
 	}
-	wantIDs, err := lq.RowIDs()
-	if err != nil {
-		t.Fatalf("iter %d: legacy RowIDs: %v", iter, err)
-	}
-	if !reflect.DeepEqual(gotIDs, wantIDs) {
-		t.Fatalf("iter %d: RowIDs diverge: pipelined %d rows, legacy %d rows", iter, len(gotIDs), len(wantIDs))
+	if len(gotIDs) != len(wantIDs) || (len(wantIDs) > 0 && !reflect.DeepEqual(gotIDs, wantIDs)) {
+		t.Fatalf("iter %d: RowIDs diverge: pipeline %d rows, reference %d rows", iter, len(gotIDs), len(wantIDs))
 	}
 
 	gotInts, err := q.Ints("small")
 	if err != nil {
-		t.Fatalf("iter %d: pipelined Ints: %v", iter, err)
+		t.Fatalf("iter %d: Ints: %v", iter, err)
 	}
-	wantInts, err := lq.Ints("small")
-	if err != nil {
-		t.Fatalf("iter %d: legacy Ints: %v", iter, err)
-	}
-	if !reflect.DeepEqual(gotInts, wantInts) {
-		t.Fatalf("iter %d: Ints diverge: pipelined %d vals, legacy %d vals", iter, len(gotInts), len(wantInts))
+	if len(gotInts) != len(wantInts) || (len(wantInts) > 0 && !reflect.DeepEqual(gotInts, wantInts)) {
+		t.Fatalf("iter %d: Ints diverge: pipeline %d vals, reference %d vals", iter, len(gotInts), len(wantInts))
 	}
 
 	gotStrs, err := q.Strings("cat")
 	if err != nil {
-		t.Fatalf("iter %d: pipelined Strings: %v", iter, err)
-	}
-	wantStrs, err := lq.Strings("cat")
-	if err != nil {
-		t.Fatalf("iter %d: legacy Strings: %v", iter, err)
+		t.Fatalf("iter %d: Strings: %v", iter, err)
 	}
 	if len(gotStrs) != len(wantStrs) {
-		t.Fatalf("iter %d: Strings diverge: pipelined %d vals, legacy %d vals", iter, len(gotStrs), len(wantStrs))
+		t.Fatalf("iter %d: Strings diverge: pipeline %d vals, reference %d vals", iter, len(gotStrs), len(wantStrs))
 	}
 	for i := range gotStrs {
-		if string(gotStrs[i]) != string(wantStrs[i]) {
-			t.Fatalf("iter %d: Strings[%d] = %q, legacy %q", iter, i, gotStrs[i], wantStrs[i])
+		if string(gotStrs[i]) != wantStrs[i] {
+			t.Fatalf("iter %d: Strings[%d] = %q, reference %q", iter, i, gotStrs[i], wantStrs[i])
 		}
 	}
 
 	gotG, err := q.GroupCount("cat")
 	if err != nil {
-		t.Fatalf("iter %d: pipelined GroupCount: %v", iter, err)
-	}
-	wantG, err := lq.GroupCount("cat")
-	if err != nil {
-		t.Fatalf("iter %d: legacy GroupCount: %v", iter, err)
+		t.Fatalf("iter %d: GroupCount: %v", iter, err)
 	}
 	if !reflect.DeepEqual(gotG, wantG) {
-		t.Fatalf("iter %d: GroupCount = %v, legacy = %v", iter, gotG, wantG)
+		t.Fatalf("iter %d: GroupCount = %v, reference = %v", iter, gotG, wantG)
 	}
 
 	gotS, err := q.SumFloat("score")
 	if err != nil {
-		t.Fatalf("iter %d: pipelined SumFloat: %v", iter, err)
-	}
-	wantS, err := lq.SumFloat("score")
-	if err != nil {
-		t.Fatalf("iter %d: legacy SumFloat: %v", iter, err)
+		t.Fatalf("iter %d: SumFloat: %v", iter, err)
 	}
 	if tol := 1e-9 * math.Max(1, math.Abs(wantS)); math.Abs(gotS-wantS) > tol {
-		t.Fatalf("iter %d: SumFloat = %v, legacy = %v (diff %v > tol %v)", iter, gotS, wantS, gotS-wantS, tol)
+		t.Fatalf("iter %d: SumFloat = %v, reference = %v (diff %v > tol %v)", iter, gotS, wantS, gotS-wantS, tol)
 	}
 }
 
-// TestPipelineMatchesLegacyEngine is the executor-equivalence property:
+// TestPipelineMatchesReference is the executor's correctness property:
 // for random predicate trees over every encoding, every terminal of the
-// morsel pipeline agrees with the operator-at-a-time barrier engine — on
-// v2.1 files and on legacy v1 files.
-func TestPipelineMatchesLegacyEngine(t *testing.T) {
+// morsel pipeline agrees with a naive in-memory full scan of the raw
+// arrays — on v2.1 files and on legacy v1 files.
+func TestPipelineMatchesReference(t *testing.T) {
 	const n = 3000
 	db := openTestDB(t)
 	formats := []struct {
@@ -123,51 +113,16 @@ func TestPipelineMatchesLegacyEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The degenerate query: no predicate at all.
-			checkEnginesAgree(t, -1, tbl.All())
+			checkMatchesReference(t, -1, tbl.All(), d, func(int) bool { return true })
 			for iter := 0; iter < 25; iter++ {
 				rng := rand.New(rand.NewSource(int64(7000*fi + iter)))
-				p, _ := genPred(rng, d, 1+rng.Intn(2))
+				p, ref := genPred(rng, d, 1+rng.Intn(2))
 				q := tbl.Query(p)
 				if err := q.Err(); err != nil {
 					t.Fatalf("iter %d: build error: %v", iter, err)
 				}
-				checkEnginesAgree(t, iter, q)
+				checkMatchesReference(t, iter, q, d, ref)
 			}
 		})
-	}
-}
-
-// nonKernelFilter hides its inner filter's row-group kernel, so the
-// pipeline cannot compile it and must fall back to the barrier selection
-// pass (the path external Filter implementations take).
-type nonKernelFilter struct{ inner ops.Filter }
-
-func (f *nonKernelFilter) Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.inner.Apply(r, pool)
-}
-
-// TestPipelineFallbackForExternalFilters checks a predicate tree holding
-// a filter with no kernel still runs every terminal correctly: the
-// selection comes from the legacy pass, the terminal still runs
-// morsel-wise, and both engines agree.
-func TestPipelineFallbackForExternalFilters(t *testing.T) {
-	const n = 2500
-	db := openTestDB(t)
-	d := propTable(t, db, "pipefall", n, 0)
-	_ = d
-	tbl, err := db.Table("pipefall")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := rawPred(&nonKernelFilter{inner: &ops.IntPredicateFilter{
-		Col:  "small",
-		Pred: func(v int64) bool { return v%3 == 0 },
-	}})
-	for iter, q := range []*Query{
-		tbl.Query(raw),
-		tbl.Query(raw).And("grade", Ge, 2),
-		tbl.Where("cat", Eq, "alpha").AndPred(raw),
-	} {
-		checkEnginesAgree(t, iter, q)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
 	"codecdb/internal/obs"
 	"codecdb/internal/ops"
@@ -45,12 +44,13 @@ type Query struct {
 	ctx       context.Context
 	conjuncts []Pred
 	err       error
-	// exec carries the per-query execution budgets and engine choice
-	// (see ExecOptions); the zero value is the default behavior.
+	// exec carries the per-query execution budgets (see ExecOptions); the
+	// zero value is the default behavior.
 	exec ExecOptions
 	// relational extensions (see rel.go): join stages against build-side
 	// queries, group-by keys, and output ordering. When any is set,
-	// terminals compile a relational plan onto the same morsel pipeline.
+	// Count, Rows and AggRows compile a relational plan onto the same
+	// morsel pipeline; the other terminals refuse the query.
 	joins     []joinSpec
 	groupCols []string
 	orders    []orderSpec
@@ -63,30 +63,14 @@ func (q *Query) rel() bool {
 	return len(q.joins) > 0 || len(q.groupCols) > 0 || len(q.orders) > 0 || q.limitN > 0
 }
 
-// legacy reports whether terminals route through the operator-at-a-time
-// barrier path instead of the morsel pipeline.
-func (q *Query) legacy() bool { return q.exec.Engine == EngineLegacy }
-
 // WithContext attaches ctx to the query: terminal calls stop promptly with
 // ctx.Err() when it is cancelled or its deadline passes, including mid-scan
 // between row groups. Like the predicate builders, WithContext is
-// copy-on-write and returns a new Query. (It historically modified the
-// receiver in place; callers relying on that must now use the returned
-// value.)
+// copy-on-write and returns a new Query.
 func (q *Query) WithContext(ctx context.Context) *Query {
 	cp := q.clone()
 	cp.ctx = ctx
 	return cp
-}
-
-// withLegacyEngine returns a copy that evaluates terminals with the
-// pre-pipeline barrier strategy — shorthand for WithExec with
-// EngineLegacy. The two engines must agree byte-for-byte on every
-// terminal (see the engine property tests).
-func (q *Query) withLegacyEngine() *Query {
-	o := q.exec
-	o.Engine = EngineLegacy
-	return q.WithExec(o)
 }
 
 // withoutPrefetch returns a copy whose terminals run the pipeline with
@@ -296,47 +280,6 @@ func (q *Query) plan() (*ops.Plan, error) {
 	return ops.BuildPlan(root, q.t.inner.R), nil
 }
 
-// eval plans and runs the predicate pipeline, observing the per-query
-// metrics (count + latency histogram) and the flight recorder around it.
-func (q *Query) eval() (*bitutil.SectionalBitmap, error) {
-	start := time.Now()
-	ectx, cancel := q.execContext()
-	defer cancel()
-	ctx, fin := q.record(ectx, "Eval[legacy]")
-	cp := q.clone()
-	cp.ctx = ctx
-	sel, err := cp.evalFilters()
-	queriesTotal.Inc()
-	queryLatency.Observe(time.Since(start).Seconds())
-	var out int64
-	if sel != nil {
-		out = int64(sel.Cardinality())
-	}
-	fin(out, err)
-	return sel, err
-}
-
-func (q *Query) evalFilters() (*bitutil.SectionalBitmap, error) {
-	if q.err != nil {
-		return nil, q.err
-	}
-	if q.t.inner.S != nil {
-		return nil, fmt.Errorf("codecdb: the legacy engine does not support ingest tables")
-	}
-	ctx := q.context()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(q.conjuncts) == 0 {
-		return ops.FullTableBitmap(q.t.inner.R), nil
-	}
-	pl, err := q.planTraced(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(ctx, q.t.inner.R, q.t.db.inner.DataPool())
-}
-
 // planTraced builds the plan, and — when the context carries a span —
 // records the chosen order under a Plan child span along with any metadata
 // IO the estimator caused (lazily faulted dictionaries), so the span
@@ -369,10 +312,11 @@ func (q *Query) planTraced(ctx context.Context) (*ops.Plan, error) {
 // run plans the accumulated conjuncts and drives the morsel pipeline for
 // one terminal, observing the per-query metrics (count + latency
 // histogram) around the whole evaluation. A query with no predicate runs
-// the terminal over every row (nil plan).
+// the terminal over every row (nil plan). Every single-table terminal
+// comes through here.
 func (q *Query) run(term ops.TermKind, col string) (res *ops.PipelineResult, err error) {
-	if q.err != nil {
-		return nil, q.err
+	if err := q.scalarErr(term); err != nil {
+		return nil, err
 	}
 	if q.t.inner.S != nil {
 		return q.runSharded(term, col)
@@ -403,17 +347,26 @@ func (q *Query) run(term ops.TermKind, col string) (res *ops.PipelineResult, err
 	return ops.RunPipeline(ctx, q.t.inner.R, q.t.db.inner.DataPool(), pl, term, col)
 }
 
+// scalarErr is the error a single-table terminal returns before running:
+// the query's construction error, or relational structure (joins,
+// grouping, ordering, a limit) the terminal's result shape cannot
+// express. Count composes with joins itself (see relCount); every other
+// terminal refuses them rather than silently answering the query
+// without them.
+func (q *Query) scalarErr(term ops.TermKind) error {
+	if q.err != nil {
+		return q.err
+	}
+	if q.rel() {
+		return fmt.Errorf("codecdb: %v does not compose with Join/SemiJoin/AntiJoin/GroupBy/OrderBy/Limit; use Rows or AggRows", term)
+	}
+	return nil
+}
+
 // Count evaluates the query and returns the matching row count.
 func (q *Query) Count() (int64, error) {
 	if q.rel() {
 		return q.relCount()
-	}
-	if q.legacy() {
-		sel, err := q.eval()
-		if err != nil {
-			return 0, err
-		}
-		return int64(sel.Cardinality()), nil
 	}
 	res, err := q.run(ops.TermCount, "")
 	if err != nil {
@@ -424,13 +377,6 @@ func (q *Query) Count() (int64, error) {
 
 // RowIDs evaluates the query and returns the matching row positions.
 func (q *Query) RowIDs() ([]int64, error) {
-	if q.legacy() {
-		sel, err := q.eval()
-		if err != nil {
-			return nil, err
-		}
-		return ops.SelectedRows(sel), nil
-	}
 	res, err := q.run(ops.TermRowIDs, "")
 	if err != nil {
 		return nil, err
@@ -441,13 +387,6 @@ func (q *Query) RowIDs() ([]int64, error) {
 // Ints evaluates the query and gathers an integer column at the matching
 // rows (late materialization with data skipping).
 func (q *Query) Ints(col string) ([]int64, error) {
-	if q.legacy() {
-		sel, err := q.eval()
-		if err != nil {
-			return nil, err
-		}
-		return ops.GatherIntsCtx(q.context(), q.t.inner.R, col, sel, q.t.db.inner.DataPool())
-	}
 	res, err := q.run(ops.TermInts, col)
 	if err != nil {
 		return nil, err
@@ -457,13 +396,6 @@ func (q *Query) Ints(col string) ([]int64, error) {
 
 // Floats gathers a float column at the matching rows.
 func (q *Query) Floats(col string) ([]float64, error) {
-	if q.legacy() {
-		sel, err := q.eval()
-		if err != nil {
-			return nil, err
-		}
-		return ops.GatherFloatsCtx(q.context(), q.t.inner.R, col, sel, q.t.db.inner.DataPool())
-	}
 	res, err := q.run(ops.TermFloats, col)
 	if err != nil {
 		return nil, err
@@ -474,13 +406,6 @@ func (q *Query) Floats(col string) ([]float64, error) {
 // Strings gathers a string column at the matching rows. The returned
 // slices alias internal buffers; do not mutate them.
 func (q *Query) Strings(col string) ([][]byte, error) {
-	if q.legacy() {
-		sel, err := q.eval()
-		if err != nil {
-			return nil, err
-		}
-		return ops.GatherStringsCtx(q.context(), q.t.inner.R, col, sel, q.t.db.inner.DataPool())
-	}
 	res, err := q.run(ops.TermStrings, col)
 	if err != nil {
 		return nil, err
@@ -488,11 +413,7 @@ func (q *Query) Strings(col string) ([][]byte, error) {
 	return res.Strings, nil
 }
 
-// groupLabels renders a dictionary column's entries as result-map keys.
-func (q *Query) groupLabels(col string) (int, *colstore.Column, []string, error) {
-	return groupLabelsOn(q.t.inner.R, col)
-}
-
+// groupLabelsOn renders a dictionary column's entries as result-map keys.
 func groupLabelsOn(r *colstore.Reader, col string) (int, *colstore.Column, []string, error) {
 	ci, c, err := r.Column(col)
 	if err != nil {
@@ -530,31 +451,11 @@ func groupLabelsOn(r *colstore.Reader, col string) (int, *colstore.Column, []str
 // counts over the dictionary codes of its row groups, and the partial
 // tables merge at the end.
 func (q *Query) GroupCount(col string) (map[string]int64, error) {
+	if err := q.scalarErr(ops.TermGroupCount); err != nil {
+		return nil, err
+	}
 	if q.t.inner.S != nil {
 		return q.groupCountSharded(col)
-	}
-	if q.legacy() {
-		sel, err := q.eval()
-		if err != nil {
-			return nil, err
-		}
-		pool := q.t.db.inner.DataPool()
-		_, _, labels, err := q.groupLabels(col)
-		if err != nil {
-			return nil, err
-		}
-		keys, err := ops.GatherKeysCtx(q.context(), q.t.inner.R, col, sel, pool)
-		if err != nil {
-			return nil, err
-		}
-		res, err := ops.ArrayAggregate(pool, keys, len(labels), []ops.VecAgg{{Kind: ops.AggCount}})
-		if err != nil {
-			return nil, err
-		}
-		return groupMap(res, labels), nil
-	}
-	if q.err != nil {
-		return nil, q.err
 	}
 	// Validate the encoding on metadata alone, but build the label table
 	// only after the run: the pipeline faults the dictionary inside its
@@ -571,7 +472,7 @@ func (q *Query) GroupCount(col string) (map[string]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, _, labels, err := q.groupLabels(col)
+	_, _, labels, err := groupLabelsOn(q.t.inner.R, col)
 	if err != nil {
 		return nil, err
 	}
@@ -594,17 +495,6 @@ func groupMap(res *ops.AggResult, labels []string) map[string]int64 {
 func (q *Query) SumFloat(col string) (float64, error) {
 	if typ, ok := q.t.ColumnType(col); ok && typ != "FLOAT64" {
 		return 0, fmt.Errorf("codecdb: SumFloat needs a FLOAT64 column, %q is %s", col, typ)
-	}
-	if q.legacy() {
-		vals, err := q.Floats(col)
-		if err != nil {
-			return 0, err
-		}
-		var s float64
-		for _, v := range vals {
-			s += v
-		}
-		return s, nil
 	}
 	res, err := q.run(ops.TermSumFloat, col)
 	if err != nil {

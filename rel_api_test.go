@@ -282,3 +282,50 @@ func TestExplainAnalyzeRendersJoin(t *testing.T) {
 		t.Fatalf("ExplainAnalyze missing build row count:\n%s", out)
 	}
 }
+
+// TestScalarTerminalsRejectRelational: a single-table terminal cannot
+// express joins, grouping, ordering, or a limit, so every one of them
+// must refuse such a query instead of answering it without them (a join
+// whose build side matches nothing must not return every probe row).
+func TestScalarTerminalsRejectRelational(t *testing.T) {
+	db := openTestDB(t)
+	tbl := loadEvents(t, db, 4000)
+	base := func() *Query { return tbl.Where("status", Eq, "ERROR") }
+	shapes := []struct {
+		name string
+		q    *Query
+	}{
+		{"Join", base().Join(tbl.Where("level", Eq, 99), "level")},
+		{"SemiJoin", base().SemiJoin(tbl.Where("level", Eq, 99), "level", "level")},
+		{"AntiJoin", base().AntiJoin(tbl.Where("level", Eq, 99), "level", "level")},
+		{"GroupBy", base().GroupBy("level")},
+		{"OrderBy", base().OrderBy("ts", true)},
+		{"Limit", base().Limit(5)},
+	}
+	terminals := []struct {
+		name string
+		run  func(q *Query) error
+	}{
+		{"RowIDs", func(q *Query) error { _, err := q.RowIDs(); return err }},
+		{"Ints", func(q *Query) error { _, err := q.Ints("ts"); return err }},
+		{"Floats", func(q *Query) error { _, err := q.Floats("latency"); return err }},
+		{"Strings", func(q *Query) error { _, err := q.Strings("status"); return err }},
+		{"GroupCount", func(q *Query) error { _, err := q.GroupCount("status"); return err }},
+		{"SumFloat", func(q *Query) error { _, err := q.SumFloat("latency"); return err }},
+	}
+	for _, sh := range shapes {
+		if err := sh.q.Err(); err != nil {
+			t.Fatalf("%s: build error: %v", sh.name, err)
+		}
+		for _, term := range terminals {
+			err := term.run(sh.q)
+			if err == nil || !strings.Contains(err.Error(), "use Rows or AggRows") {
+				t.Errorf("%s.%s: err = %v, want a use Rows or AggRows error", sh.name, term.name, err)
+			}
+		}
+	}
+	// Count composes with joins itself: the empty build side keeps nothing.
+	if n, err := shapes[0].q.Count(); err != nil || n != 0 {
+		t.Fatalf("Join.Count = %d, %v; want 0", n, err)
+	}
+}

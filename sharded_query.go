@@ -389,9 +389,6 @@ func compileTailKids(mem *memtable.ColumnTable, preds []Pred) ([]func(int) bool,
 // the selected values. Labels render identically on both paths, so the
 // maps merge cleanly.
 func (q *Query) groupCountSharded(col string) (counts map[string]int64, err error) {
-	if q.err != nil {
-		return nil, q.err
-	}
 	ctx := q.context()
 	if err := ctx.Err(); err != nil {
 		return nil, err

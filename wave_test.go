@@ -180,8 +180,8 @@ func TestWithExecDeadline(t *testing.T) {
 	}
 }
 
-// TestWithExecEngineAndWorkers: engine choice and worker caps agree with
-// defaults result-for-result.
+// TestWithExecEngineAndWorkers: the prefetch switch and worker caps agree
+// with defaults result-for-result.
 func TestWithExecEngineAndWorkers(t *testing.T) {
 	db := openTestDB(t)
 	tbl := loadEvents(t, db, 3000)
@@ -191,8 +191,6 @@ func TestWithExecEngineAndWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range []ExecOptions{
-		{Engine: EnginePipeline},
-		{Engine: EngineLegacy},
 		{DisablePrefetch: true},
 		{MaxWorkers: 1},
 		{MaxWorkers: 2, DisablePrefetch: true},
